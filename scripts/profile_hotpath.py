@@ -11,6 +11,7 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_hotpath.py                # engine
     PYTHONPATH=src python scripts/profile_hotpath.py --scenario src
+    PYTHONPATH=src python scripts/profile_hotpath.py --scenario src-destage
     PYTHONPATH=src python scripts/profile_hotpath.py --requests 50000 \
         --sort tottime --limit 40
     PYTHONPATH=src python scripts/profile_hotpath.py --out hot.pstats
@@ -44,6 +45,8 @@ from repro.workloads.replay import replay_group         # noqa: E402
 
 SCALE = 1 / 32
 FILL = 0.90
+# Requests that carry a fresh SRC stack past its first S2D collection.
+DESTAGE_WARMUP = 150_000
 
 
 def workload_engine(requests: int, seed: int, chunk_requests: int) -> None:
@@ -103,13 +106,57 @@ def workload_replay_batched(requests: int, seed: int,
                  seed=seed, max_requests=requests, batched=True)
 
 
+def workload_src_destage(requests: int, seed: int, chunk_requests: int,
+                         begin) -> None:
+    """Steady-state reclaim: S2S/S2D collections and origin destage.
+
+    The default 20k-request scenarios never reach reclaim.  Here the
+    batched SRC stack first runs ``DESTAGE_WARMUP`` requests (past its
+    first S2D) unprofiled; ``begin`` starts the profiler at the first
+    chunk call after that, and the same stream runs ``requests`` more.
+    """
+    src = build_src(SCALE)
+    stream = uniform_random_chunks(4 * src.config.cache_space,
+                                   request_size=4 * KIB, seed=seed,
+                                   chunk_requests=chunk_requests)
+    warm_left = DESTAGE_WARMUP
+
+    def issue_chunk(rows, start, think, deadline, limit):
+        nonlocal warm_left
+        if warm_left > 0:
+            limit = min(limit, warm_left) if limit else warm_left
+        elif warm_left == 0:
+            warm_left = -1
+            begin()
+        issue_t, done_t, n = src.submit_chunk(rows, start, think, deadline,
+                                              limit)
+        if warm_left > 0:
+            warm_left -= n
+        return issue_t, done_t, n
+
+    run_chunk_streams(lambda req, now: src.submit(req, now), [stream],
+                      duration=float("inf"),
+                      max_requests=DESTAGE_WARMUP + requests,
+                      issue_chunk=issue_chunk)
+
+
+def _whole(workload):
+    """A scenario profiled from stack construction on."""
+    def run(requests: int, seed: int, chunk_requests: int, begin) -> None:
+        begin()
+        workload(requests, seed, chunk_requests)
+    return run
+
+
+# Each scenario calls ``begin`` where its profiled window opens.
 SCENARIOS = {
-    "engine": workload_engine,
-    "src": workload_src,
-    "src-batched": workload_src_batched,
-    "src-obs-batched": workload_src_obs_batched,
-    "replay": workload_replay,
-    "replay-batched": workload_replay_batched,
+    "engine": _whole(workload_engine),
+    "src": _whole(workload_src),
+    "src-batched": _whole(workload_src_batched),
+    "src-obs-batched": _whole(workload_src_obs_batched),
+    "src-destage": workload_src_destage,
+    "replay": _whole(workload_replay),
+    "replay-batched": _whole(workload_replay_batched),
 }
 
 
@@ -147,15 +194,14 @@ def main(argv=None) -> int:
                   "cProfile", file=sys.stderr)
         else:
             profiler = Profiler()
-            profiler.start()
-            workload(args.requests, args.seed, args.chunk_requests)
+            workload(args.requests, args.seed, args.chunk_requests,
+                     profiler.start)
             profiler.stop()
             print(profiler.output_text(unicode=True, color=False))
             return 0
 
     profile = cProfile.Profile()
-    profile.enable()
-    workload(args.requests, args.seed, args.chunk_requests)
+    workload(args.requests, args.seed, args.chunk_requests, profile.enable)
     profile.disable()
 
     stats = pstats.Stats(profile)

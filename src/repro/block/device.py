@@ -14,9 +14,11 @@ from __future__ import annotations
 import abc
 from typing import List
 
+import numpy as np
+
 from repro.block.lifecycle import Submission
 from repro.common.errors import AddressError
-from repro.common.types import IoStats, Op, Request
+from repro.common.types import IoOrigin, IoStats, Op, Request
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import NULL_RECORDER
 
@@ -77,6 +79,29 @@ class BlockDevice(abc.ABC):
         begin, done = self._lifecycle(req, now)
         return Submission(req=req, device=self.name, issue_t=now,
                           begin_t=begin, done_t=done, origin=req.origin)
+
+    def submit_writes(self, offsets, lengths, now: float, origin: IoOrigin,
+                      tenant: "str | None" = None) -> float:
+        """Issue one WRITE per ``(offset, length)`` run, all at ``now``.
+
+        ``offsets`` and ``lengths`` are equal-length integer sequences
+        or arrays, in bytes; every WRITE carries ``origin`` and
+        ``tenant``.  Runs are submitted in order; returns the latest
+        completion, or
+        ``now`` for an empty batch.  This base version is exactly a
+        :meth:`submit` loop, so wrappers (fault injectors, stats taps,
+        windows, instrumented instances) see every run as one request.
+        Devices with a faster equivalent override it (see
+        :class:`~repro.hdd.backend.PrimaryStorage`).
+        """
+        end = now
+        for offset, length in zip(np.asarray(offsets, np.int64).tolist(),
+                                  np.asarray(lengths, np.int64).tolist()):
+            done = self.submit(Request(Op.WRITE, offset, length,
+                                       origin=origin, tenant=tenant), now)
+            if done > end:
+                end = done
+        return end
 
     # Convenience helpers used heavily by tests and examples.
     def read(self, offset: int, length: int, now: float) -> float:

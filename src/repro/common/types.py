@@ -246,6 +246,17 @@ class IoStats:
                     self.bytes_by_origin[key] = (
                         self.bytes_by_origin.get(key, 0) + int(total))
 
+    def record_writes(self, count: int, nbytes: int,
+                      origin: IoOrigin) -> None:
+        """Bulk :meth:`record` of ``count`` WRITEs of ``nbytes`` in total,
+        all tagged ``origin`` (the batched destage path)."""
+        if not count:
+            return
+        self.write_ops += count
+        self.write_bytes += nbytes
+        key = origin.value
+        self.bytes_by_origin[key] = self.bytes_by_origin.get(key, 0) + nbytes
+
     @property
     def total_bytes(self) -> int:
         return self.read_bytes + self.write_bytes

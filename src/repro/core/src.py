@@ -1266,34 +1266,54 @@ class SrcCache(CacheTarget):
         if not lbas:
             return now
         read_end = self._bulk_read(victim, lbas, now, IoOrigin.DESTAGE)
-        end = read_end
-        # Multi-tenant: coalesced runs must not cross a volume boundary
-        # so each destage write carries one tenant tag and the blocks
-        # are billed to their owner.
-        tenants = self.tenants
-        owner = tenants.tenant_of if tenants is not None else None
-        run_start = prev = lbas[0]
-        run_tenant = owner(run_start) if owner is not None else None
-        for lba in lbas[1:] + [None]:
-            if (lba is not None and lba == prev + 1
-                    and (owner is None or owner(lba) == run_tenant)):
-                prev = lba
-                continue
-            nblocks = prev - run_start + 1
-            end = max(end, self.origin.submit(
-                Request(Op.WRITE, run_start * PAGE_SIZE, nblocks * PAGE_SIZE,
-                        origin=IoOrigin.DESTAGE, tenant=run_tenant),
-                read_end))
-            if run_tenant is not None:
-                tenants.count_destaged(run_tenant, nblocks)
-            if lba is not None:
-                run_start = prev = lba
-                run_tenant = owner(lba) if owner is not None else None
+        if self.tenants is None:
+            runs_end = self._destage_runs(np.asarray(lbas, np.int64),
+                                          read_end)
+        else:
+            runs_end = self._destage_tenant_runs(lbas, read_end)
+        end = max(read_end, runs_end)
         self.srcstats.gc_destaged_blocks += len(lbas)
         self.cstats.destaged_blocks += len(lbas)
         if self.obs.enabled:
             self.obs.emit(Destage(t=end, device=self.name,
                                   blocks=len(lbas)))
+        return end
+
+    def _destage_runs(self, lbas: np.ndarray, now: float) -> float:
+        """One origin write per run of consecutive sorted ``lbas``, all
+        issued at ``now`` in a single ``submit_writes`` batch."""
+        starts = np.nonzero(np.concatenate(([True],
+                                            np.diff(lbas) != 1)))[0]
+        stops = np.concatenate((starts[1:], [lbas.shape[0]]))
+        run_start = lbas[starts].astype(np.int64)
+        nblocks = lbas[stops - 1].astype(np.int64) - run_start + 1
+        return self.origin.submit_writes(run_start * PAGE_SIZE,
+                                         nblocks * PAGE_SIZE, now,
+                                         IoOrigin.DESTAGE)
+
+    def _destage_tenant_runs(self, lbas: List[int], now: float) -> float:
+        """Per-run destage writes for a multi-tenant stack: coalesced
+        runs must not cross a volume boundary, so each write carries one
+        tenant tag and its blocks are billed to their owner."""
+        tenants = self.tenants
+        owner = tenants.tenant_of
+        end = now
+        run_start = prev = lbas[0]
+        run_tenant = owner(run_start)
+        for lba in lbas[1:] + [None]:
+            if (lba is not None and lba == prev + 1
+                    and owner(lba) == run_tenant):
+                prev = lba
+                continue
+            nblocks = prev - run_start + 1
+            end = max(end, self.origin.submit(
+                Request(Op.WRITE, run_start * PAGE_SIZE, nblocks * PAGE_SIZE,
+                        origin=IoOrigin.DESTAGE, tenant=run_tenant), now))
+            if run_tenant is not None:
+                tenants.count_destaged(run_tenant, nblocks)
+            if lba is not None:
+                run_start = prev = lba
+                run_tenant = owner(lba)
         return end
 
     def _destage_arrays(self, victim: int, lbas: np.ndarray,
@@ -1303,17 +1323,7 @@ class SrcCache(CacheTarget):
             return now
         read_end = self._bulk_read_arrays(victim, lbas, now,
                                           IoOrigin.DESTAGE)
-        end = read_end
-        starts = np.nonzero(np.concatenate(([True],
-                                            np.diff(lbas) != 1)))[0]
-        stops = np.concatenate((starts[1:], [lbas.shape[0]]))
-        for s, e in zip(starts.tolist(), stops.tolist()):
-            run_start = int(lbas[s])
-            nblocks = int(lbas[e - 1]) - run_start + 1
-            end = max(end, self.origin.submit(
-                Request(Op.WRITE, run_start * PAGE_SIZE,
-                        nblocks * PAGE_SIZE, origin=IoOrigin.DESTAGE),
-                read_end))
+        end = max(read_end, self._destage_runs(lbas, read_end))
         n = int(lbas.shape[0])
         self.srcstats.gc_destaged_blocks += n
         self.cstats.destaged_blocks += n

@@ -8,11 +8,13 @@ and balances reads between mirror halves.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.block.device import BlockDevice
-from repro.common.errors import ConfigError
-from repro.common.types import Op, Request
+from repro.common.errors import AddressError, ConfigError
+from repro.common.types import IoOrigin, Op, Request
 from repro.hdd.disk import DiskDevice, DiskSpec
 from repro.obs.events import FlushBarrier
 from repro.sim.timeline import Link
@@ -46,6 +48,26 @@ class Raid10Array(BlockDevice):
             yield pair, pair_offset, take
             offset += take
             remaining -= take
+
+    def _split_many(self, offsets: np.ndarray, lengths: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]:
+        """Vector :meth:`_split` over runs: ``(run, pair, pair_offset,
+        length)`` per piece, runs in order and each run's pieces in
+        address order, exactly as ``_split`` yields them."""
+        chunk = self.chunk_size
+        first = offsets // chunk
+        counts = np.where(lengths > 0,
+                          (offsets + lengths - 1) // chunk - first + 1, 0)
+        run = np.repeat(np.arange(offsets.shape[0]), counts)
+        piece = (np.arange(run.shape[0])
+                 - np.repeat(np.cumsum(counts) - counts, counts))
+        index = first[run] + piece
+        base = index * chunk
+        start = np.maximum(offsets[run], base)
+        stop = np.minimum(offsets[run] + lengths[run], base + chunk)
+        pair_offset = index // self.pairs * chunk + (start - base)
+        return run, index % self.pairs, pair_offset, stop - start
 
     def _service(self, req: Request, now: float) -> float:
         if req.op is Op.FLUSH:
@@ -96,3 +118,68 @@ class PrimaryStorage(BlockDevice):
             _, link_end = self.link.transfer(array_end, req.length)
             return link_end
         return self.array.submit(req, now)  # TRIM
+
+    def submit_writes(self, offsets, lengths, now: float, origin: IoOrigin,
+                      tenant: "str | None" = None) -> float:
+        """Vectorized destage batch: one WRITE per run, all at ``now``.
+
+        Bit-identical to the base ``submit`` loop in every return value
+        and every piece of link, RAID and disk state: the link's end
+        times are a sequential running sum, the RAID split is
+        ``_split`` expanded per piece, and each mirror disk replays its
+        pieces in issue order (see :meth:`DiskDevice._write_batch`).
+        Every range is validated first, so an error changes nothing.
+        With obs on anywhere in the stack the per-request hooks must
+        fire, so that case takes the base loop.  ``tenant`` tags only
+        telemetry, which is off here.
+        """
+        array = self.array
+        disks = array.disks
+        if (self.obs.enabled or array.obs.enabled
+                or any(d.obs.enabled for d in disks)):
+            return super().submit_writes(offsets, lengths, now, origin,
+                                         tenant)
+        offsets = np.asarray(offsets, np.int64)
+        lengths = np.asarray(lengths, np.int64)
+        if not offsets.shape[0]:
+            return now
+        if (offsets < 0).any() or (lengths < 0).any():
+            raise ValueError("negative offset/length in a write batch")
+        _check_ranges(self, offsets, lengths)
+        run, pair, pair_offset, piece_length = array._split_many(
+            offsets, lengths)
+        mirrors = []
+        for index in range(array.pairs):
+            rows = np.nonzero(pair == index)[0]
+            if not rows.shape[0]:
+                continue
+            piece_offsets = pair_offset[rows]
+            piece_lengths = piece_length[rows]
+            for disk in disks[2 * index:2 * index + 2]:
+                _check_ranges(disk, piece_offsets, piece_lengths)
+            mirrors.append((index, rows, piece_offsets, piece_lengths))
+
+        link_end = self.link.transfer_many(now, lengths)
+        nbytes = int(lengths.sum())
+        self.stats.record_writes(offsets.shape[0], nbytes, origin)
+        array.stats.record_writes(offsets.shape[0], nbytes, origin)
+        end = float(link_end[-1])   # link ends never decrease
+        for index, rows, piece_offsets, piece_lengths in mirrors:
+            times = link_end[run[rows]]
+            for disk in disks[2 * index:2 * index + 2]:
+                done = disk._write_batch(times, piece_offsets,
+                                         piece_lengths, origin)
+                if done > end:
+                    end = done
+        return end
+
+
+def _check_ranges(device: BlockDevice, offsets: np.ndarray,
+                  lengths: np.ndarray) -> None:
+    """``BlockDevice._lifecycle``'s range check over a batch of runs."""
+    beyond = np.nonzero(offsets + lengths > device.size)[0]
+    if beyond.shape[0]:
+        i = int(beyond[0])
+        raise AddressError(
+            f"{device.name}: request [{offsets[i]}, "
+            f"{offsets[i] + lengths[i]}) beyond device size {device.size}")

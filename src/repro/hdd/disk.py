@@ -20,13 +20,17 @@ Parameters default to the 2 TB 7.2K RPM drives of the paper's backend
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.block.device import BlockDevice
 from repro.block.lifecycle import QueuedDevice
 from repro.common.errors import ConfigError
-from repro.common.types import Op, Request
+from repro.common.types import IoOrigin, Op, Request
 from repro.sim.timeline import Timeline
 from repro.common.units import MB, MIB, MSEC, TIB
 
@@ -71,16 +75,19 @@ class DiskDevice(QueuedDevice, BlockDevice):
         self.spec = spec
         self.arm = Timeline(1)
         self._recent: deque = deque(maxlen=spec.recent_positions)
+        cost = spec.avg_seek + spec.avg_rotation
+        self._read_positioning = cost * spec.read_positioning_factor
+        self._write_positioning = cost * spec.write_positioning_factor
 
     def _positioning(self, req: Request) -> float:
-        near = any(abs(req.offset - pos) <= self.spec.sequential_window
-                   for pos in self._recent)
-        if near:
-            return 0.0
-        cost = self.spec.avg_seek + self.spec.avg_rotation
+        offset = req.offset
+        window = self.spec.sequential_window
+        for pos in self._recent:
+            if abs(offset - pos) <= window:
+                return 0.0
         if req.op is Op.WRITE:
-            return cost * self.spec.write_positioning_factor
-        return cost * self.spec.read_positioning_factor
+            return self._write_positioning
+        return self._read_positioning
 
     def _service(self, req: Request, now: float) -> float:
         if req.op is Op.FLUSH:
@@ -93,3 +100,84 @@ class DiskDevice(QueuedDevice, BlockDevice):
         self._recent.append(req.end)
         _, end = self.arm.acquire(now, duration)
         return end
+
+    def _near_recent(self, offsets: np.ndarray, ends: np.ndarray
+                     ) -> np.ndarray:
+        """Per write, :meth:`_positioning`'s near test against the
+        ``_recent`` window it would see: the deque's prior positions
+        followed by the end offsets of the batch's earlier writes."""
+        depth = self._recent.maxlen
+        n = offsets.shape[0]
+        if not depth:
+            return np.zeros(n, dtype=bool)
+        window = self.spec.sequential_window
+        prior = np.fromiter(self._recent, np.int64, len(self._recent))
+        # Padding sits more than ``window`` below every offset >= 0.
+        pad = np.full(depth - prior.shape[0], -(window + 1), np.int64)
+        # Row j of the view is exactly the deque as write j sees it.
+        views = sliding_window_view(
+            np.concatenate((pad, prior, ends[:-1])), depth)
+        near = np.empty(n, dtype=bool)
+        step = 4096   # bounds the (step, depth) temporary
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            dist = np.abs(views[lo:hi] - offsets[lo:hi, None])
+            near[lo:hi] = (dist <= window).any(axis=1)
+        return near
+
+    def _write_batch(self, times: np.ndarray, offsets: np.ndarray,
+                     lengths: np.ndarray, origin: IoOrigin) -> float:
+        """``submit`` a WRITE per row, in row order, without ``Request``s.
+
+        Row ``j`` is issued at ``times[j]``.  Stats, queue admission and
+        retirement, positioning, ``_recent`` and the arm advance exactly
+        as that ``submit`` loop would; returns the last completion.  The
+        caller validates every range and keeps obs off (no hooks fire).
+        """
+        n = offsets.shape[0]
+        self.stats.record_writes(n, int(lengths.sum()), origin)
+        ends = offsets + lengths
+        positioning = np.where(self._near_recent(offsets, ends), 0.0,
+                               self._write_positioning)
+        durations = (positioning + lengths / self.spec.transfer_bw).tolist()
+        self._recent.extend(ends.tolist())
+        arm = self.arm
+        free = arm._free[0]
+        busy = arm.busy_time
+        depth_limit = self.queue_depth
+        if not depth_limit:
+            for t, duration in zip(times.tolist(), durations):
+                free = (t if t > free else free) + duration
+                busy += duration
+        else:
+            # QueuedDevice._admit/_retire plus Timeline.acquire, inlined
+            # with the same comparisons and accumulation order.
+            heappop, heappush = heapq.heappop, heapq.heappush
+            q = self._inflight
+            qs = self.qstats
+            max_out = qs.max_outstanding
+            queued = 0
+            delay = qs.queue_delay_total
+            for t, duration in zip(times.tolist(), durations):
+                while q and q[0] <= t:
+                    heappop(q)
+                begin = t
+                while len(q) >= depth_limit:
+                    done = heappop(q)
+                    if done > begin:
+                        begin = done
+                free = (begin if begin > free else free) + duration
+                busy += duration
+                heappush(q, free)
+                if len(q) > max_out:
+                    max_out = len(q)
+                if begin > t:
+                    queued += 1
+                    delay += begin - t
+            qs.submissions += n
+            qs.queued_ops += queued
+            qs.queue_delay_total = delay
+            qs.max_outstanding = max_out
+        arm._free[0] = free
+        arm.busy_time = busy
+        return free

@@ -1,5 +1,6 @@
 """Resource timelines — the simulation core."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -107,3 +108,28 @@ def test_link_reset():
     link.reset()
     assert link.bytes_moved == 0
     assert link.drain_time() == 0.0
+
+
+@given(st.lists(st.integers(0, 10 * 2**20), max_size=60),
+       st.floats(0, 5), st.floats(0, 5))
+def test_link_transfer_many_matches_transfer_loop(sizes, busy_until, start):
+    # Bit-identical, not approximately equal: the batched destage path
+    # relies on the running sum rounding exactly like the scalar loop.
+    links = [Link(125e6, latency_s=200e-6), Link(125e6, latency_s=200e-6)]
+    for link in links:
+        link.transfer(busy_until, 4096)
+    expected = [links[0].transfer(start, n)[1] for n in sizes]
+    got = links[1].transfer_many(start, np.asarray(sizes, dtype=np.int64))
+    assert got.tolist() == expected
+    assert links[1].bytes_moved == links[0].bytes_moved
+    assert links[1]._timeline._free == links[0]._timeline._free
+    assert links[1]._timeline.busy_time == links[0]._timeline.busy_time
+
+
+def test_acquire_many_rejects_bad_input():
+    with pytest.raises(ConfigError):
+        Timeline(2).acquire_many(0.0, np.ones(3))
+    t = Timeline(1)
+    with pytest.raises(TimingError):
+        t.acquire_many(0.0, np.array([1.0, -1.0]))
+    assert t.next_free() == 0.0 and t.busy_time == 0.0
