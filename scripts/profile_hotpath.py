@@ -12,6 +12,7 @@ Usage::
     PYTHONPATH=src python scripts/profile_hotpath.py                # engine
     PYTHONPATH=src python scripts/profile_hotpath.py --scenario src
     PYTHONPATH=src python scripts/profile_hotpath.py --scenario src-destage
+    PYTHONPATH=src python scripts/profile_hotpath.py --scenario cluster-zipf
     PYTHONPATH=src python scripts/profile_hotpath.py --requests 50000 \
         --sort tottime --limit 40
     PYTHONPATH=src python scripts/profile_hotpath.py --out hot.pstats
@@ -31,6 +32,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.common.chunks import DEFAULT_CHUNK_REQUESTS  # noqa: E402
 from repro.common.units import KIB                      # noqa: E402
@@ -43,10 +45,14 @@ from repro.workloads.fio import (uniform_random,        # noqa: E402
                                  uniform_random_chunks)
 from repro.workloads.replay import replay_group         # noqa: E402
 
+from bench_engine import run_after_warmup, zipf_cluster  # noqa: E402
+
 SCALE = 1 / 32
 FILL = 0.90
 # Requests that carry a fresh SRC stack past its first S2D collection.
 DESTAGE_WARMUP = 150_000
+# Requests that warm the cluster-zipf caches before profiling starts.
+CLUSTER_WARMUP = 100_000
 
 
 def workload_engine(requests: int, seed: int, chunk_requests: int) -> None:
@@ -112,32 +118,27 @@ def workload_src_destage(requests: int, seed: int, chunk_requests: int,
 
     The default 20k-request scenarios never reach reclaim.  Here the
     batched SRC stack first runs ``DESTAGE_WARMUP`` requests (past its
-    first S2D) unprofiled; ``begin`` starts the profiler at the first
-    chunk call after that, and the same stream runs ``requests`` more.
+    first S2D) unprofiled, then the same stream runs ``requests`` more
+    under the profiler.
     """
     src = build_src(SCALE)
     stream = uniform_random_chunks(4 * src.config.cache_space,
                                    request_size=4 * KIB, seed=seed,
                                    chunk_requests=chunk_requests)
-    warm_left = DESTAGE_WARMUP
+    run_after_warmup(src, [stream], DESTAGE_WARMUP, requests, begin)
 
-    def issue_chunk(rows, start, think, deadline, limit):
-        nonlocal warm_left
-        if warm_left > 0:
-            limit = min(limit, warm_left) if limit else warm_left
-        elif warm_left == 0:
-            warm_left = -1
-            begin()
-        issue_t, done_t, n = src.submit_chunk(rows, start, think, deadline,
-                                              limit)
-        if warm_left > 0:
-            warm_left -= n
-        return issue_t, done_t, n
 
-    run_chunk_streams(lambda req, now: src.submit(req, now), [stream],
-                      duration=float("inf"),
-                      max_requests=DESTAGE_WARMUP + requests,
-                      issue_chunk=issue_chunk)
+def workload_cluster_zipf(requests: int, seed: int, chunk_requests: int,
+                          begin) -> None:
+    """``bench_engine.py``'s ``cluster/zipf-mixed`` stack, warm.
+
+    Four closed-loop Zipf clients leave each engine call a horizon of
+    a few rows: the router's row loop and the shards' ``submit_row``.
+    ``CLUSTER_WARMUP`` requests (to a hit ratio of about 0.85) run
+    unprofiled first.
+    """
+    router, sources = zipf_cluster(seed, chunk_requests)
+    run_after_warmup(router, sources, CLUSTER_WARMUP, requests, begin)
 
 
 def _whole(workload):
@@ -155,6 +156,7 @@ SCENARIOS = {
     "src-batched": _whole(workload_src_batched),
     "src-obs-batched": _whole(workload_src_obs_batched),
     "src-destage": workload_src_destage,
+    "cluster-zipf": workload_cluster_zipf,
     "replay": _whole(workload_replay),
     "replay-batched": _whole(workload_replay_batched),
 }

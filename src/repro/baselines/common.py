@@ -199,10 +199,20 @@ class CacheTarget(BlockDevice):
 
     def read_request(self, req: Request, now: float) -> float:
         """Serve a read: cached blocks per block, misses as extents."""
+        return self._read_pages(req.offset // PAGE_SIZE,
+                                (req.end + PAGE_SIZE - 1) // PAGE_SIZE, now)
+
+    def _read_pages(self, first: int, last: int, now: float) -> float:
+        """Read blocks ``[first, last)``: the body of :meth:`read_request`.
+
+        Split out so row-native callers (``SrcCache.submit_row``) serve
+        a read without building a :class:`Request`.
+        """
+        pages = range(first, last)
         try:
             end = now
             run: list = []
-            for block in req.pages():
+            for block in pages:
                 if self.block_cached(block):
                     if run:
                         end = max(end, self._fetch_run(run, now))
@@ -216,7 +226,7 @@ class CacheTarget(BlockDevice):
         except NotImplementedError:
             # Fallback: strictly per-block (used by simple targets).
             end = now
-            for block in req.pages():
+            for block in pages:
                 end = max(end, self.read_block(block, now))
             return end
 

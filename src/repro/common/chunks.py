@@ -100,6 +100,20 @@ def request_from_row(row, tenant_names: Optional[List[str]] = None) -> Request:
                    origin=_ORIGINS[row["origin"]], tenant=tenant)
 
 
+def head_columns(rows: np.ndarray, limit: int, cap: int):
+    """Columns of the first ``min(len(rows), cap, limit or cap)`` rows
+    as Python lists: ``(ops, offsets, lengths, origins, tenants)``.
+
+    One ``tolist`` per column — the input of the row-at-a-time loops
+    that serve short windows without numpy scalar extraction per field.
+    """
+    n = min(rows.shape[0], cap, limit) if limit else min(rows.shape[0], cap)
+    head = rows[:n]
+    return (head["op"].tolist(), head["offset"].tolist(),
+            head["length"].tolist(), head["origin"].tolist(),
+            head["tenant"].tolist())
+
+
 def requests_from_chunk(chunk: np.ndarray,
                         tenant_names: Optional[List[str]] = None
                         ) -> Iterator[Request]:

@@ -21,11 +21,16 @@ _CHUNK_CODES = None
 
 
 def _chunk_codes():
+    """``(OP_READ, OP_WRITE, OP_FLUSH, OP_TRIM, origin_keys)``, where
+    ``origin_keys[code]`` is the ``bytes_by_origin`` key of an origin
+    code."""
     global _CHUNK_CODES
     if _CHUNK_CODES is None:
         from repro.common.chunks import (OP_FLUSH, OP_READ, OP_TRIM,
                                          OP_WRITE, origin_of)
-        _CHUNK_CODES = (OP_READ, OP_WRITE, OP_FLUSH, OP_TRIM, origin_of)
+        origin_keys = tuple(origin_of(code).value
+                            for code in range(len(IoOrigin)))
+        _CHUNK_CODES = (OP_READ, OP_WRITE, OP_FLUSH, OP_TRIM, origin_keys)
     return _CHUNK_CODES
 
 
@@ -197,7 +202,7 @@ class IoStats:
         updates are identical to calling :meth:`record` once per row —
         the differential tests hold the two paths to byte equality.
         """
-        OP_READ, OP_WRITE, OP_FLUSH, OP_TRIM, origin_of = _chunk_codes()
+        OP_READ, OP_WRITE, OP_FLUSH, OP_TRIM, origin_keys = _chunk_codes()
         ops = np.asarray(ops)
         lengths = np.asarray(lengths)
         if ops.shape[0] < 32:
@@ -222,7 +227,7 @@ class IoStats:
                     self.trim_ops += 1
                     self.trim_bytes += length
                     continue
-                key = origin_of(origin_list[i]).value
+                key = origin_keys[origin_list[i]]
                 by_origin[key] = by_origin.get(key, 0) + length
             return
         op_counts = np.bincount(ops, minlength=4)
@@ -242,7 +247,7 @@ class IoStats:
                                     weights=lengths[data])
             for code, total in enumerate(by_origin):
                 if total:
-                    key = origin_of(code).value
+                    key = origin_keys[code]
                     self.bytes_by_origin[key] = (
                         self.bytes_by_origin.get(key, 0) + int(total))
 

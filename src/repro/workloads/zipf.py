@@ -10,12 +10,12 @@ different regions of the volume.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, List
 
 import numpy as np
 
-from repro.common.chunks import (DEFAULT_CHUNK_REQUESTS, OP_CODE, make_chunk,
-                                 requests_from_chunk)
+from repro.common.chunks import (DEFAULT_CHUNK_REQUESTS, OP_CODE, OP_READ,
+                                 OP_WRITE, make_chunk, requests_from_chunk)
 from repro.common.errors import ConfigError
 from repro.common.types import Op, Request
 from repro.common.units import KIB, PAGE_SIZE
@@ -91,6 +91,41 @@ def zipf_chunks(span: int, request_size: int = 4 * KIB,
         offsets = (sampler.sample_many(chunk_requests).astype(np.int64)
                    * PAGE_SIZE)
         yield make_chunk(offsets, request_size, op_code)
+
+
+def zipf_mixed_chunks(span: int, read_fraction: float, n_streams: int = 1,
+                      theta: float = 0.99, seed: int = 0,
+                      chunk_requests: int = DEFAULT_CHUNK_REQUESTS
+                      ) -> List[Iterator[np.ndarray]]:
+    """``n_streams`` Zipf clients over one shared hot set (4 KiB rows).
+
+    Every client ranks the same shuffled blocks of ``span`` bytes but
+    draws its own offsets and its own read/write mix (``read_fraction``
+    of rows are reads) — many users hitting one popular data set, the
+    shape of a cache cluster's front door.
+    """
+    if not 0.0 <= read_fraction <= 1.0:
+        raise ConfigError("read_fraction must be in [0,1]")
+    if n_streams < 1 or chunk_requests <= 0:
+        raise ConfigError("need n_streams >= 1 and chunk_requests > 0")
+    slots = span // PAGE_SIZE
+    if slots < 1:
+        raise ConfigError("span must cover at least one page")
+    perm = np.random.default_rng(seed).permutation(slots)
+
+    def client(index: int) -> Iterator[np.ndarray]:
+        sampler = ZipfSampler(slots, theta=theta, seed=[seed, index],
+                              shuffle=False)
+        ops_rng = np.random.default_rng([seed, index, 1])
+        while True:
+            offsets = perm[sampler.sample_many(chunk_requests)]
+            chunk = make_chunk(offsets.astype(np.int64) * PAGE_SIZE,
+                               PAGE_SIZE, OP_WRITE)
+            chunk["op"][ops_rng.random(chunk_requests)
+                        < read_fraction] = OP_READ
+            yield chunk
+
+    return [client(i) for i in range(n_streams)]
 
 
 def zipf_requests(span: int, request_size: int = 4 * KIB,

@@ -8,8 +8,7 @@ from _stacks import TINY_DISK, TINY_SRC, TINY_SSD
 from repro.chaos import (ChaosScheduler, CrashFrontier, CrashPointExplorer,
                          IntegrityOracle, InvariantSuite, InvariantViolation,
                          SCENARIOS)
-from repro.chaos.invariants import (check_cluster_ownership,
-                                    check_group_accounting, check_ledger,
+from repro.chaos.invariants import (check_group_accounting, check_ledger,
                                     check_residency)
 from repro.common.checksum import block_checksum
 from repro.common.types import Op, Request

@@ -2,6 +2,7 @@
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.cluster import (ClusterConfig, HashRing, MigrationError,
@@ -158,6 +159,36 @@ def test_straddling_request_is_split():
     router.submit(Request(Op.WRITE, offset, 2 * PAGE_SIZE), 0.0)
     assert router.clusterstats.straddled_requests == 1
     assert foreign_blocks(router) == []
+
+
+def _per_page_runs(router, first, last):
+    """Reference split: group consecutive pages by their own owner."""
+    runs = []
+    for block in range(first, last):
+        slot = router.owner_slot(block)
+        if runs and runs[-1][0] == slot:
+            runs[-1][2] += 1
+        else:
+            runs.append([slot, block, 1])
+    return [tuple(run) for run in runs]
+
+
+def test_split_runs_walks_slabs_like_per_page_owners():
+    """The slab walk equals per-page grouping, including while a
+    migration's pending ranges override the ring (4 shards -> 5)."""
+    router, _ = make_cluster(n_shards=4)
+    rng = np.random.default_rng(9)
+    spans = [(int(first), int(first) + int(n))
+             for first, n in zip(rng.integers(0, 20_000, 300),
+                                 rng.integers(0, 100, 300))]
+    for first, last in spans:
+        assert router._split_runs(first, last) == \
+            _per_page_runs(router, first, last)
+    router.add_shard(make_shard("shard-new", router.origin), 0.0)
+    assert router._overrides
+    for first, last in spans:
+        assert router._split_runs(first, last) == \
+            _per_page_runs(router, first, last)
 
 
 def test_trim_broadcasts_to_all_shards():
