@@ -296,7 +296,7 @@ class RepairController:
                 cache.srcstats.rebuild_dropped_blocks += 1
                 if entry.dirty:
                     cache.srcstats.unrecoverable_errors += 1
-                cache.mapping.invalidate(lba)
+                cache.mapping.discard(lba)
                 cache.hotness.evict(lba)
         return now
 
@@ -442,7 +442,7 @@ class RepairController:
             stats.unrecoverable_errors += 1
             self._emit(ScrubUnrepairable(t=now, device=cache.name,
                                          lba=lba, member=member))
-            cache.mapping.invalidate(lba)
+            cache.mapping.discard(lba)
             cache.hotness.evict(lba)
             if hasattr(ssd, "clear_corruption"):
                 ssd.clear_corruption(loc.offset, PAGE_SIZE)
