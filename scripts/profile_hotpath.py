@@ -13,6 +13,7 @@ Usage::
     PYTHONPATH=src python scripts/profile_hotpath.py --scenario src
     PYTHONPATH=src python scripts/profile_hotpath.py --scenario src-destage
     PYTHONPATH=src python scripts/profile_hotpath.py --scenario cluster-zipf
+    PYTHONPATH=src python scripts/profile_hotpath.py --scenario msr-mixed
     PYTHONPATH=src python scripts/profile_hotpath.py --requests 50000 \
         --sort tottime --limit 40
     PYTHONPATH=src python scripts/profile_hotpath.py --out hot.pstats
@@ -45,7 +46,8 @@ from repro.workloads.fio import (uniform_random,        # noqa: E402
                                  uniform_random_chunks)
 from repro.workloads.replay import replay_group         # noqa: E402
 
-from bench_engine import run_after_warmup, zipf_cluster  # noqa: E402
+from bench_engine import (after_warmup, run_after_warmup,  # noqa: E402
+                          zipf_cluster)
 
 SCALE = 1 / 32
 FILL = 0.90
@@ -53,6 +55,11 @@ FILL = 0.90
 DESTAGE_WARMUP = 150_000
 # Requests that warm the cluster-zipf caches before profiling starts.
 CLUSTER_WARMUP = 100_000
+# Simulated seconds of msr-mixed replay before profiling starts (past
+# the first S2S and S2D collections), and the replay's approximate row
+# rate, which turns ``--requests`` into a simulated window.
+MSR_WARMUP_S = 4.0
+MSR_ROWS_PER_SIM_S = 12_000
 
 
 def workload_engine(requests: int, seed: int, chunk_requests: int) -> None:
@@ -141,6 +148,26 @@ def workload_cluster_zipf(requests: int, seed: int, chunk_requests: int,
     run_after_warmup(router, sources, CLUSTER_WARMUP, requests, begin)
 
 
+def workload_msr_mixed(requests: int, seed: int, chunk_requests: int,
+                       begin) -> None:
+    """The paper's Table-6 "mixed" group, batched, warm.
+
+    28 lockstep closed-loop threads leave each engine call a window of
+    a few rows: SRC's short-window row service and the engine's
+    per-window bookkeeping.  ``MSR_WARMUP_S`` simulated seconds run
+    unprofiled first; then about ``requests`` rows are profiled (the
+    window is simulated time, as in the replay itself).
+    """
+    src = build_src(SCALE)
+    # replay_group declines every chunk call before its warm-up ends,
+    # so the first submit_chunk call opens the profiled window.
+    src.submit, src.submit_chunk = after_warmup(
+        src.submit, src.submit_chunk, begin, sim_time=MSR_WARMUP_S)
+    replay_group(src, "mixed", scale=SCALE,
+                 duration=requests / MSR_ROWS_PER_SIM_S,
+                 warmup=MSR_WARMUP_S, seed=seed, batched=True)
+
+
 def _whole(workload):
     """A scenario profiled from stack construction on."""
     def run(requests: int, seed: int, chunk_requests: int, begin) -> None:
@@ -157,6 +184,7 @@ SCENARIOS = {
     "src-obs-batched": _whole(workload_src_obs_batched),
     "src-destage": workload_src_destage,
     "cluster-zipf": workload_cluster_zipf,
+    "msr-mixed": workload_msr_mixed,
     "replay": _whole(workload_replay),
     "replay-batched": _whole(workload_replay_batched),
 }

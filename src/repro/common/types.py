@@ -239,14 +239,15 @@ class IoStats:
         self.flush_ops += int(op_counts[OP_FLUSH])
         self.trim_ops += int(op_counts[OP_TRIM])
         self.trim_bytes += int(op_bytes[OP_TRIM])
-        # bytes_by_origin accumulates READ/WRITE lengths only.
+        # bytes_by_origin accumulates READ/WRITE lengths only; like
+        # record(), a data row creates its origin's key even at 0 bytes.
         data = (ops == OP_READ) | (ops == OP_WRITE)
         if data.any():
-            origin_codes = np.asarray(origin_codes)
-            by_origin = np.bincount(origin_codes[data],
-                                    weights=lengths[data])
-            for code, total in enumerate(by_origin):
-                if total:
+            data_origins = np.asarray(origin_codes)[data]
+            rows_by = np.bincount(data_origins)
+            by_origin = np.bincount(data_origins, weights=lengths[data])
+            for code, total in enumerate(by_origin.tolist()):
+                if rows_by[code]:
                     key = origin_keys[code]
                     self.bytes_by_origin[key] = (
                         self.bytes_by_origin.get(key, 0) + int(total))

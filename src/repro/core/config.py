@@ -291,6 +291,8 @@ class SrcConfig:
                               "segment unit")
         if self.segment_unit % PAGE_SIZE:
             raise ConfigError("segment unit must be 4 KiB aligned")
+        if self.t_wait < 0:
+            raise ConfigError(f"t_wait must be >= 0, got {self.t_wait}")
 
     # Deprecated flat read-through accessors -------------------------
     # Each pre-split flat field keeps working as a property so stacks

@@ -281,11 +281,6 @@ class SrcCache(CacheTarget):
         self.srcstats.sg_allocations += 1
         return group
 
-    def _version_of(self, lba: int, bump: bool) -> int:
-        if bump:
-            self._versions[lba] = self._versions.get(lba, 0) + 1
-        return self._versions.get(lba, 0)
-
     def _alive(self, ssd_idx: int) -> bool:
         return not getattr(self.ssds[ssd_idx], "failed", False)
 
@@ -346,7 +341,9 @@ class SrcCache(CacheTarget):
         return plan is not None and getattr(plan, "armed", False)
 
     def _seal_fast_ok(self) -> bool:
-        """Whether segment seals may use the lean device submission.
+        """Whether segment seals and SSD reads may use the lean device
+        submissions (``submit_write_fast``/``submit_read_fast``/
+        ``submit_flush_fast``).
 
         True only while every side channel of :meth:`_ssd_submit` is
         provably inert: no fail-slow detectors sampling latencies, no
@@ -542,31 +539,40 @@ class SrcCache(CacheTarget):
                      now: float) -> float:
         """Serve a READ/WRITE of whole pages ``[first, last)``: the
         bodies of ``read_request`` (after the timeout check) and
-        ``write_request``."""
+        ``write_request``.  Multi-page writes take :meth:`_write_pages`
+        while the chunk gate holds, everything else one
+        :meth:`write_block` per page (its setup is cheaper for one)."""
         if op == OP_READ:
             self._check_timeout(now)
             return self._read_pages(first, last, now)
+        if last - first > 1 and self._chunk_fast_ok(0.0):
+            return self._write_pages(first, last, now)
         end = now
         for block in range(first, last):
             end = max(end, self.write_block(block, now))
         return end
 
-    def _serve_rows(self, rows: np.ndarray, start: float,
-                    think_time: float, deadline: float, limit: int,
-                    vector_from: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Closed-loop scalar service of a short prefix of ``rows``.
+    def write_request(self, req: Request, now: float) -> float:
+        return self._serve_pages(OP_WRITE, req.offset // PAGE_SIZE,
+                                 (req.end + PAGE_SIZE - 1) // PAGE_SIZE, now)
 
-        Reads at most :data:`SCALAR_THRESHOLD` rows (one ``tolist`` per
-        column) and serves them through :meth:`submit_row`, exactly as
-        the engine's scalar fallback would.  Stops at the first
-        tenanted or background row (engine-side handling), at
-        ``limit``/``deadline``, and at the first conformant single-page
-        write at or after index ``vector_from`` (it opens a new
-        vectorizable span).
+    def _serve_rows(self, head: tuple, start: float, think_time: float,
+                    deadline: float, limit: int,
+                    vector_from: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Closed-loop scalar service of a short prefix of a window.
+
+        ``head`` is the window's first rows as column lists
+        (:func:`~repro.common.chunks.head_columns`); they are served
+        through :meth:`submit_row`, exactly as the engine's scalar
+        fallback would.  Stops at the first tenanted or background row
+        (engine-side handling), at ``limit``/``deadline``, and at the
+        first conformant single-page write at or after index
+        ``vector_from`` (it opens a new vectorizable span).
         """
-        ops, offsets, lengths, origins, tenants = head_columns(
-            rows, limit, SCALAR_THRESHOLD)
+        ops, offsets, lengths, origins, tenants = head
         n = len(ops)
+        if limit and limit < n:
+            n = limit
         size = self.size
         submit_row = self.submit_row
         issue_t: List[float] = []
@@ -622,7 +628,7 @@ class SrcCache(CacheTarget):
             self.clean_buf.remove(block)
         elif code == B_STAGING:
             self.staging.pop(block)
-        self._version_of(block, bump=True)
+        self._versions.bump(block)
         full = self.dirty_buf.add(block)
         # max(): an in-flight segment write's ack may already extend the
         # activity horizon past this issue time (streams interleave).
@@ -636,6 +642,79 @@ class SrcCache(CacheTarget):
             self._last_dirty_write = max(self._last_dirty_write, end)
             return end
         return now + RAM_LATENCY
+
+    def _write_pages(self, first: int, last: int, now: float) -> float:
+        """:meth:`write_block` over the non-empty block range
+        ``[first, last)``, every page issued at ``now``.
+
+        Entered only while :meth:`_chunk_fast_ok` holds, so the
+        per-page bypass and tenant-admission branches are dead and
+        ``repair.pump`` is idle.  TWAIT is checked for the first page
+        and again after each seal: between seals every page shares
+        ``now`` and every added page refreshes the TWAIT clock, so the
+        skipped checks are no-ops.  Residency codes are read once per
+        seal-free run (a page only changes its own block's code until a
+        segment seals).  A segment write — TWAIT flush or seal — can
+        close the gate (bypass, a rebuild job); the rest of the row then
+        goes through :meth:`write_block`.
+        """
+        self._check_timeout(now)
+        cstats = self.cstats
+        touch = self.hotness.touch
+        bump = self._versions.bump
+        add = self.dirty_buf.add
+        ram_end = now + RAM_LATENCY
+        end = now
+        codes = self._row_codes(first, last)
+        base = first
+        sealed = False
+        for block in range(first, last):
+            if block != first:
+                if (self._chunk_gate is not True
+                        and not self._chunk_fast_ok(0.0)):
+                    for rest in range(block, last):
+                        end = max(end, self.write_block(rest, now))
+                    return end
+                if sealed:
+                    self._check_timeout(now)
+                    codes = self._row_codes(block, last)
+                    base = block
+                    sealed = False
+            code = codes[block - base]
+            if code != B_NONE:
+                cstats.write_hits += 1
+                touch(block)
+                if code == B_DIRTY:
+                    end = max(end, ram_end)   # absorbed rewrite
+                    continue
+                if code == B_MAPPED:
+                    self.mapping.discard(block)
+                elif code == B_CLEAN:
+                    self.clean_buf.remove(block)
+                elif code == B_STAGING:
+                    self.staging.pop(block)
+            else:
+                cstats.write_misses += 1
+            bump(block)
+            full = add(block)
+            self._last_dirty_write = max(self._last_dirty_write, now)
+            if full:
+                seal_end = self._write_segment(dirty=True, now=now)
+                self._last_dirty_write = max(self._last_dirty_write,
+                                             seal_end)
+                end = max(end, seal_end)
+                sealed = True
+            else:
+                end = max(end, ram_end)
+        return end
+
+    def _row_codes(self, first: int, last: int) -> List[int]:
+        """Residency codes of blocks ``[first, last)`` as a list."""
+        codes = self._state.a[first:last].tolist()
+        short = last - first - len(codes)
+        if short > 0:
+            codes.extend([B_NONE] * short)
+        return codes
 
     # ==================================================================
     # application read path
@@ -714,13 +793,16 @@ class SrcCache(CacheTarget):
             # the front of the rebuild queue.
             self.repair.promote(loc.ssd, loc.sg, loc.segment)
             return self._degraded_read(block, entry, now)
-        end = self._ssd_submit(loc.ssd,
-                               Request(Op.READ, loc.offset, PAGE_SIZE), now)
-        if end is None:   # the home drive just died under this read
-            if self.bypass:
-                self.srcstats.bypass_reads += 1
-                return self.origin_read(block, now)
-            return self._degraded_read(block, entry, now)
+        if self._seal_fast_ok():
+            end = ssd.submit_read_fast(loc.offset, PAGE_SIZE, now)
+        else:
+            end = self._ssd_submit(
+                loc.ssd, Request(Op.READ, loc.offset, PAGE_SIZE), now)
+            if end is None:   # the home drive just died under this read
+                if self.bypass:
+                    self.srcstats.bypass_reads += 1
+                    return self.origin_read(block, now)
+                return self._degraded_read(block, entry, now)
         corrupted = getattr(ssd, "corrupted_in", None)
         if corrupted is not None and corrupted(loc.offset, PAGE_SIZE):
             return self._repair_corruption(block, entry, end)
@@ -874,7 +956,7 @@ class SrcCache(CacheTarget):
             for slot, lba in enumerate(lbas):
                 loc = self.layout.slot_location(sg, segment, slot,
                                                 with_parity)
-                version = self._version_of(lba, bump=False)
+                version = self._versions.get(lba, 0)
                 checksum = block_checksum(lba, version)
                 self.mapping.insert(lba, CacheEntry(
                     location=loc, dirty=dirty, checksum=checksum,
@@ -1477,6 +1559,7 @@ class SrcCache(CacheTarget):
         if not lbas.shape[0]:
             return now
         ssds_col, offs_col, _, _ = self.mapping.locations_arrays(lbas)
+        fast = self._seal_fast_ok()
         end = now
         uniq, first_pos = np.unique(ssds_col, return_index=True)
         for ssd_idx in uniq[np.argsort(first_pos)].tolist():
@@ -1487,9 +1570,13 @@ class SrcCache(CacheTarget):
             for s, e in zip(starts.tolist(), stops.tolist()):
                 run_start = int(offsets[s])
                 length = int(offsets[e - 1]) - run_start + PAGE_SIZE
-                done = self._ssd_submit(
-                    ssd_idx, Request(Op.READ, run_start, length,
-                                     origin=origin), now)
+                if fast:
+                    done = self.ssds[ssd_idx].submit_read_fast(
+                        run_start, length, now, origin)
+                else:
+                    done = self._ssd_submit(
+                        ssd_idx, Request(Op.READ, run_start, length,
+                                         origin=origin), now)
                 if done is not None:
                     end = max(end, done)
         return end
@@ -1629,6 +1716,9 @@ class SrcCache(CacheTarget):
         n_total = rows.shape[0]
         if n_total == 0 or not self._chunk_fast_ok(think_time):
             return _EMPTY_TIMES, _EMPTY_TIMES, 0
+        # The head rows as Python lists: the row loop's input, and
+        # enough to classify a short window without numpy work.
+        head = head_columns(rows, 0, SCALAR_THRESHOLD)
         if deadline - start < SCALAR_THRESHOLD * (RAM_LATENCY + think_time):
             # Tiny horizon: with many closed-loop streams in lockstep
             # (trace replay) the next stream's turn is a few service
@@ -1637,13 +1727,35 @@ class SrcCache(CacheTarget):
             # Serve the plain-row prefix row by row with no vector work
             # at all — bit-identical by the same argument as the short
             # conformant run below.
-            return self._serve_rows(rows, start, think_time, deadline,
+            return self._serve_rows(head, start, think_time, deadline,
                                     limit, SCALAR_THRESHOLD)
+        size = self.size
+        n_conf = 0   # conformant head rows: aligned 1-page fg writes
+        for op, offset, length, origin, tenant in zip(*head):
+            if not (op == OP_WRITE and length == PAGE_SIZE
+                    and origin == ORIGIN_FG and tenant == NO_TENANT
+                    and offset % PAGE_SIZE == 0
+                    and offset + PAGE_SIZE <= size):
+                break
+            n_conf += 1
+        if n_conf < SCALAR_THRESHOLD:
+            # Short (or empty) conformant run: drive the scalar oracle
+            # right here instead of bouncing each row back through the
+            # engine, which would re-run this classification per row.
+            # Rows past the conformant run still qualify as long as
+            # they are untenanted foreground I/O — anything the
+            # engine's own fallback would account identically (reads,
+            # large writes; SRC never returns Submissions, so
+            # queue-delay accounting never diverges).  The run stops at
+            # the first row needing engine-side handling or opening a
+            # new vectorizable span.
+            return self._serve_rows(head, start, think_time, deadline,
+                                    limit, n_conf)
         offsets = rows["offset"]
-        # Conformity scan, bounded: scan a short prefix first and only
-        # widen to the full slice if every scanned row conforms — a
-        # trace with short write runs pays for 64 rows, a pure
-        # randwrite chunk pays one extra 64-row pass.
+        # The head conforms; find the run's extent.  Bounded: scan a
+        # short prefix first and only widen to the full slice if every
+        # scanned row conforms — a pure randwrite chunk pays one extra
+        # 64-row pass.
         scan = 64 if n_total > 64 else n_total
         while True:
             offs = offsets[:scan]
@@ -1661,18 +1773,6 @@ class SrcCache(CacheTarget):
                 n_conf = n_total
                 break
             scan = n_total
-        if n_conf < SCALAR_THRESHOLD:
-            # Short (or empty) conformant run: drive the scalar oracle
-            # right here instead of bouncing each row back through the
-            # engine, which would re-run this scan per row.  Rows past
-            # the conformant run still qualify as long as they are
-            # untenanted foreground I/O — anything the engine's own
-            # fallback would account identically (reads, large writes;
-            # SRC never returns Submissions, so queue-delay accounting
-            # never diverges).  The run stops at the first row needing
-            # engine-side handling or opening a new vectorizable span.
-            return self._serve_rows(rows[:scan], start, think_time,
-                                    deadline, limit, n_conf)
         blocks = offsets[:n_conf] // PAGE_SIZE
         t_wait = self.config.t_wait
         self._active_tenant = None
@@ -1840,7 +1940,7 @@ class SrcCache(CacheTarget):
         Migration compares versions across a copy to detect a write
         that raced the copy and must be re-copied.
         """
-        return self._version_of(block, bump=False)
+        return self._versions.get(block, 0)
 
     def block_dirty(self, block: int) -> bool:
         """Current dirty state of ``block`` (False if not cached).
@@ -1891,7 +1991,7 @@ class SrcCache(CacheTarget):
             self.mapping.discard(block)
             self.clean_buf.remove(block)
             self.staging.pop(block)
-            self._version_of(block, bump=True)
+            self._versions.bump(block)
             full = self.dirty_buf.add(block)
             self._last_dirty_write = max(self._last_dirty_write, now)
             if full:

@@ -17,6 +17,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.block.lifecycle import Submission
 from repro.common.chunks import request_from_row
 from repro.common.errors import ConfigError
@@ -163,6 +165,81 @@ class ChunkStream:
 
     def slot_free_after(self, issue_time: float, done: float) -> float:
         return done + self.think_time
+
+
+class DeferredStats:
+    """Bulk recording of served chunk rows into IoStats/LatencyStats.
+
+    A short closed-loop window serves a few rows, and recording each
+    window on arrival costs more than serving it.  :meth:`add` queues a
+    window's rows and issue/done times in global order; :meth:`flush`
+    records everything queued with one ``record_chunk`` and one
+    ``record_many`` per destination — into ``stats``/``latency`` and,
+    when ``owners`` is given, into each owner's own ``.stats`` and
+    ``.latency`` through a per-owner mask.  That is bit-identical to
+    recording every window as it arrives: IoStats counters are sums,
+    and ``record_many`` replays per-sample order, which the global
+    queue and each owner's mask both preserve.  Callers flush before
+    recording anything else into the same objects and at the end.
+    Queued rows are views of the sources' chunks, so a source must not
+    refill a chunk it has already yielded.
+    """
+
+    FLUSH_ROWS = 1024
+
+    __slots__ = ("stats", "latency", "owners", "_rows", "_issue", "_done",
+                 "_owner_ids", "_counts", "_n")
+
+    def __init__(self, stats: IoStats, latency: LatencyStats,
+                 owners: Optional[List] = None):
+        self.stats = stats
+        self.latency = latency
+        self.owners = owners
+        self._rows: list = []
+        self._issue: list = []
+        self._done: list = []
+        self._owner_ids: List[int] = []
+        self._counts: List[int] = []
+        self._n = 0
+
+    def add(self, rows, issue_t, done_t, owner: int = 0) -> None:
+        """Queue served ``rows`` (a chunk slice) and their times."""
+        n = rows.shape[0]
+        self._rows.append(rows)
+        self._issue.append(issue_t)
+        self._done.append(done_t)
+        self._owner_ids.append(owner)
+        self._counts.append(n)
+        self._n += n
+        if self._n >= self.FLUSH_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._n:
+            return
+        parts = self._rows
+        # Columns are gathered per field: concatenating the structured
+        # slices themselves goes through numpy's slow field promotion.
+        ops = np.concatenate([r["op"] for r in parts])
+        lengths = np.concatenate([r["length"] for r in parts])
+        origins = np.concatenate([r["origin"] for r in parts])
+        lats = np.concatenate(self._done) - np.concatenate(self._issue)
+        self.stats.record_chunk(ops, lengths, origins)
+        self.latency.record_many(lats)
+        if self.owners is not None:
+            of_row = np.repeat(self._owner_ids, self._counts)
+            for idx in sorted(set(self._owner_ids)):
+                mask = of_row == idx
+                owner = self.owners[idx]
+                owner.stats.record_chunk(ops[mask], lengths[mask],
+                                         origins[mask])
+                owner.latency.record_many(lats[mask])
+        self._rows = []
+        self._issue = []
+        self._done = []
+        self._owner_ids = []
+        self._counts = []
+        self._n = 0
 
 
 @dataclass
@@ -368,6 +445,10 @@ class Engine:
         heappop = heapq.heappop
         heappush = heapq.heappush
         foreground = IoOrigin.FOREGROUND
+        # Chunk-conformant rows are foreground by construction, so every
+        # served row feeds the latency reservoirs too.
+        pending = DeferredStats(totals, latencies, self.streams)
+        defer = pending.add
 
         while heap:
             issue_time, index, stream = heappop(heap)
@@ -385,17 +466,7 @@ class Engine:
                                              deadline, limit)
             if n:
                 stream.advance(n)
-                done = rows[:n]
-                ops = done["op"]
-                lengths = done["length"]
-                origins = done["origin"]
-                stream.stats.record_chunk(ops, lengths, origins)
-                totals.record_chunk(ops, lengths, origins)
-                # Chunk-conformant rows are foreground by construction,
-                # so every one feeds the latency reservoirs.
-                lats = done_t - issue_t
-                stream.latency.record_many(lats)
-                latencies.record_many(lats)
+                defer(rows[:n], issue_t, done_t, index)
                 completed += n
                 issued += n
                 last_done = float(done_t[-1])   # done times are monotone
@@ -423,6 +494,7 @@ class Engine:
             if done_one < issue_time:
                 raise AssertionError(
                     f"completion {done_one} precedes issue {issue_time}")
+            pending.flush()
             stream.stats.record(request)
             totals.record(request)
             if is_fg:
@@ -443,6 +515,7 @@ class Engine:
                 heappush(heap, (issue_time + stream.think_time,
                                 index, stream))
 
+        pending.flush()
         elapsed = duration if duration != float("inf") else end_time
         if duration != float("inf") and end_time < duration and not heap:
             elapsed = end_time

@@ -87,6 +87,8 @@ class SSDDevice(QueuedDevice, BlockDevice):
 
     def corrupted_in(self, offset: int, length: int) -> Set[int]:
         """Corrupted logical page numbers inside a byte range."""
+        if not self._corrupted_pages:
+            return set()
         span = set(Request(Op.READ, offset, length).pages())
         return span & self._corrupted_pages
 
@@ -161,14 +163,20 @@ class SSDDevice(QueuedDevice, BlockDevice):
         return cost
 
     def _read(self, req: Request, now: float) -> float:
-        npages = self._npages(req)
-        self.ftl.read(self._page_of(req.offset), npages)
-        read_time = npages * self.spec.page_size / self.spec.nand_read_bw
+        return self._read_span(req.offset, req.length, req.origin, now)
+
+    def _read_span(self, offset: int, length: int, origin: IoOrigin,
+                   now: float) -> float:
+        page = self.spec.page_size
+        first = offset // page
+        npages = max(1, (offset + length + page - 1) // page - first)
+        self.ftl.read(first, npages)
+        read_time = npages * page / self.spec.nand_read_bw
         # Only host (foreground) reads ride the read-priority pipeline;
         # internal moves — GC copies, destage reads, rebuild scans —
         # interleave with the program backlog so they never starve the
         # latency-sensitive path.
-        pipeline = (self.nand_reads if req.origin is IoOrigin.FOREGROUND
+        pipeline = (self.nand_reads if origin is IoOrigin.FOREGROUND
                     else self.nand)
         nand_begin, nand_end = pipeline.acquire(now, read_time)
         # The outbound transfer streams behind the NAND reads: it starts
@@ -176,7 +184,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
         # the last page has been read.
         first_page = self.spec.timing.t_read
         _, out_end = self.read_link.transfer(nand_begin + first_page,
-                                             req.length)
+                                             length)
         return max(nand_end, out_end)
 
     def _trim(self, req: Request, now: float) -> float:
@@ -196,6 +204,34 @@ class SSDDevice(QueuedDevice, BlockDevice):
     # ------------------------------------------------------------------
     # lean batched entries (SRC seal path / chunk engine)
     # ------------------------------------------------------------------
+    def _admit_fast(self, now: float) -> float:
+        """Queue admission of the lean entries: ``QueuedDevice._admit``
+        without the Request."""
+        begin = now
+        depth = self.queue_depth
+        if depth:
+            q = self._inflight
+            while q and q[0] <= now:
+                heapq.heappop(q)
+            while len(q) >= depth:
+                popped = heapq.heappop(q)
+                if popped > begin:
+                    begin = popped
+        return begin
+
+    def _retire_fast(self, now: float, begin: float, done: float) -> None:
+        """``QueuedDevice._retire`` for the lean entries (obs off)."""
+        if self.queue_depth:
+            heapq.heappush(self._inflight, done)
+            qs = self.qstats
+            qs.submissions += 1
+            outstanding = len(self._inflight)
+            if outstanding > qs.max_outstanding:
+                qs.max_outstanding = outstanding
+            if begin > now:
+                qs.queued_ops += 1
+                qs.queue_delay_total += begin - now
+
     def submit_write_fast(self, offset: int, length: int, now: float,
                           origin: IoOrigin = IoOrigin.FOREGROUND) -> float:
         """Lean WRITE submission, bit-identical to ``submit``.
@@ -216,16 +252,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
         by_origin = stats.bytes_by_origin
         key = origin.value
         by_origin[key] = by_origin.get(key, 0) + length
-        begin = now
-        depth = self.queue_depth
-        if depth:
-            q = self._inflight
-            while q and q[0] <= now:
-                heapq.heappop(q)
-            while len(q) >= depth:
-                popped = heapq.heappop(q)
-                if popped > begin:
-                    begin = popped
+        begin = self._admit_fast(now)
         page = self.spec.page_size
         first = offset // page
         last = (offset + length + page - 1) // page
@@ -236,16 +263,29 @@ class SSDDevice(QueuedDevice, BlockDevice):
         _, nand_end = self.nand.acquire(xfer_begin, self._nand_cost(result))
         nand_end = max(nand_end, xfer_end)
         done = max(xfer_end, nand_end - self._buffer_slack)
-        if depth:
-            heapq.heappush(self._inflight, done)
-            qs = self.qstats
-            qs.submissions += 1
-            outstanding = len(self._inflight)
-            if outstanding > qs.max_outstanding:
-                qs.max_outstanding = outstanding
-            if begin > now:
-                qs.queued_ops += 1
-                qs.queue_delay_total += begin - now
+        self._retire_fast(now, begin, done)
+        return done
+
+    def submit_read_fast(self, offset: int, length: int, now: float,
+                         origin: IoOrigin = IoOrigin.FOREGROUND) -> float:
+        """Lean READ submission; the read twin of
+        :meth:`submit_write_fast` (same caller guarantees).
+
+        Stats, queue admission, :meth:`_read_span` — foreground reads on
+        the read-priority pipeline, background reads on the program
+        one — and retire, in ``_lifecycle``'s order.
+        """
+        if self.failed:
+            raise DeviceFailedError(f"{self.name} has failed")
+        stats = self.stats
+        stats.read_ops += 1
+        stats.read_bytes += length
+        by_origin = stats.bytes_by_origin
+        key = origin.value
+        by_origin[key] = by_origin.get(key, 0) + length
+        begin = self._admit_fast(now)
+        done = self._read_span(offset, length, origin, begin)
+        self._retire_fast(now, begin, done)
         return done
 
     def submit_flush_fast(self, now: float) -> float:
@@ -254,27 +294,9 @@ class SSDDevice(QueuedDevice, BlockDevice):
         if self.failed:
             raise DeviceFailedError(f"{self.name} has failed")
         self.stats.flush_ops += 1
-        begin = now
-        depth = self.queue_depth
-        if depth:
-            q = self._inflight
-            while q and q[0] <= now:
-                heapq.heappop(q)
-            while len(q) >= depth:
-                popped = heapq.heappop(q)
-                if popped > begin:
-                    begin = popped
+        begin = self._admit_fast(now)
         done = self._flush(begin)
-        if depth:
-            heapq.heappush(self._inflight, done)
-            qs = self.qstats
-            qs.submissions += 1
-            outstanding = len(self._inflight)
-            if outstanding > qs.max_outstanding:
-                qs.max_outstanding = outstanding
-            if begin > now:
-                qs.queued_ops += 1
-                qs.queue_delay_total += begin - now
+        self._retire_fast(now, begin, done)
         return done
 
     def submit_chunk(self, rows, start: float, think_time: float,

@@ -20,7 +20,7 @@ from repro.baselines.common import CacheTarget
 from repro.common.types import IoStats, LatencyStats, Request
 from repro.common.units import mb_per_sec
 from repro.obs.recorder import get_recorder
-from repro.sim.engine import run_chunk_streams, run_streams
+from repro.sim.engine import DeferredStats, run_chunk_streams, run_streams
 from repro.workloads.msr import build_group, build_group_chunks
 
 
@@ -106,6 +106,8 @@ def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
         "ops": 0,
         "latency": LatencyStats(),
     }
+    # Batched windows are recorded in bulk; scalar rows flush first.
+    pending = DeferredStats(window["app"], window["latency"])
 
     def issue(req: Request, now: float) -> float:
         if not window["started"] and now >= warmup:
@@ -115,6 +117,7 @@ def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
             window["origin"] = target.origin.stats.total_bytes
         done = target.submit(req, now)
         if window["started"]:
+            pending.flush()
             window["app"].record(req)
             window["ops"] += 1
             window["latency"].record(done - now)
@@ -134,11 +137,8 @@ def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
         issue_t, done_t, n = target.submit_chunk(rows, start, think,
                                                  deadline, limit)
         if n:
-            served = rows[:n]
-            window["app"].record_chunk(served["op"], served["length"],
-                                       served["origin"])
+            pending.add(rows[:n], issue_t, done_t)
             window["ops"] += n
-            window["latency"].record_many(done_t - issue_t)
         return issue_t, done_t, n
 
     recorder = get_recorder()
@@ -170,6 +170,7 @@ def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
         run = run_streams(issue, streams, duration=warmup + duration,
                           think_time=think_time,
                           max_requests=max_requests, sampler=sampler)
+    pending.flush()
     if window["cstats"] is None:   # run too short to leave warm-up
         window["cstats"] = target.cstats.copy()
     measured = min(duration, max(run.elapsed - warmup, 1e-9))

@@ -26,14 +26,15 @@ from repro.common.chunks import (OP_CODE, OP_FLUSH, OP_READ,
                                  OP_TRIM, OP_WRITE, make_chunk, op_of,
                                  requests_from_chunk)
 from repro.common.errors import DeviceFailedError
-from repro.common.types import Op, Request
+from repro.common.types import IoStats, LatencyStats, Op, Request
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.src import SrcCache
 from repro.faults import FaultInjector, FaultPlan
 from repro.hdd.backend import PrimaryStorage
 from repro.obs import ObsRecorder
 from repro.obs.recorder import attach
-from repro.sim.engine import run_chunk_streams
+from repro.sim.engine import (ChunkStream, DeferredStats, Engine,
+                              run_chunk_streams)
 from repro.ssd.device import SSDDevice
 from repro.tenancy import TenantRegistry
 from repro.workloads.fio import (fio_job_chunk_streams, fio_job_streams,
@@ -977,3 +978,111 @@ def test_submit_row_bypass_reserve_matches_submit():
     assert b.srcstats.bypass_writes == 2 and b.srcstats.bypass_reads == 1
     # The re-served write takes no foreground sample; the read does.
     assert len(b.repair.guard._samples) == 1
+
+
+# ----------------------------------------------------------------------
+# deferred per-window accounting (DeferredStats in the engine and replay)
+# ----------------------------------------------------------------------
+def _latency_state(lat):
+    return lat.count, lat.total, lat.max, list(lat._reservoir)
+
+
+def _engine_with_streams(batched, n_streams, decline_every=7):
+    """An Engine over a TINY SRC with ``n_streams`` mixed 30%-read
+    clients; the batched side declines every ``decline_every``-th
+    window so scalar-fallback rows interleave with deferred ones."""
+    target = make_src()
+    calls = []
+
+    def issue_chunk(rows, start, think, deadline, limit):
+        calls.append(None)
+        if len(calls) % decline_every == 0:
+            return None, None, 0
+        return target.submit_chunk(rows, start, think, deadline, limit)
+
+    engine = Engine(lambda req, now: target.submit(req, now),
+                    issue_chunk=issue_chunk if batched else None)
+    # A span the cache holds: reads hit after their first miss, so a
+    # short simulated window still yields thousands of rows.
+    span = 4 * MIB
+    for i in range(n_streams):
+        engine.add_stream(ChunkStream(mixed_chunks(span, 0.3, seed=80 + i),
+                                      name=f"job{i}"))
+    return engine
+
+
+@pytest.mark.parametrize("cut", [{"max_requests": 10_001},
+                                 {"duration": 0.25}])
+def test_deferred_accounting_matches_per_request_records(cut):
+    """Totals and every stream's IoStats/LatencyStats — reservoirs past
+    their 4,096 samples included — match per-request recording, with
+    declined rows interleaved and the run cut by a request budget or a
+    simulated duration."""
+    runs = {}
+    for batched in (False, True):
+        engine = _engine_with_streams(batched, n_streams=2)
+        runs[batched] = (engine, engine.run(**cut))
+    (scalar, s_res), (batched, b_res) = runs[False], runs[True]
+    assert b_res.as_dict() == s_res.as_dict()
+    assert _latency_state(b_res.latency) == _latency_state(s_res.latency)
+    for x, y in zip(scalar.streams, batched.streams):
+        assert x.stats == y.stats
+        assert _latency_state(x.latency) == _latency_state(y.latency)
+    assert min(s.latency.count for s in batched.streams) > 4096
+
+
+def test_replay_deferred_accounting_past_reservoir():
+    """replay_group's window statistics match the scalar replay well
+    past the latency reservoir's 4,096 samples."""
+    results = {}
+    for batched in (False, True):
+        results[batched] = replay_group(
+            make_src(), "mixed", scale=0.002, duration=float("inf"),
+            warmup=0.02, seed=9, threads_per_trace=1, max_requests=9000,
+            batched=batched)
+    assert results[True].as_dict() == results[False].as_dict()
+    assert (_latency_state(results[True].latency)
+            == _latency_state(results[False].latency))
+    assert results[True].latency.count > 4096
+
+
+def test_deferred_stats_flushes_per_owner_in_order():
+    """DeferredStats.flush equals recording each window on arrival, for
+    interleaved owners and zero-byte rows."""
+    class Owner:
+        def __init__(self):
+            self.stats = IoStats()
+            self.latency = LatencyStats()
+
+    rng = np.random.default_rng(90)
+    direct = [Owner() for _ in range(3)]
+    deferred = [Owner() for _ in range(3)]
+    totals = (IoStats(), LatencyStats())
+    pending = DeferredStats(IoStats(), LatencyStats(), deferred)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        rows = make_chunk(rng.integers(0, 1000, n) * PAGE_SIZE,
+                          rng.integers(0, 3, n) * PAGE_SIZE,
+                          op=int(rng.integers(0, 2)))
+        issue_t = np.sort(rng.random(n))
+        done_t = issue_t + rng.random(n) * 1e-3
+        owner = int(rng.integers(0, 3))
+        for stats in (direct[owner].stats, totals[0]):
+            stats.record_chunk(rows["op"], rows["length"], rows["origin"])
+        for lat in (direct[owner].latency, totals[1]):
+            lat.record_many(done_t - issue_t)
+        pending.add(rows, issue_t, done_t, owner)
+    pending.flush()
+    assert pending.stats == totals[0]
+    # Zero-byte rows still create their origin's key, on either side of
+    # record_chunk's vector crossover.
+    zero = make_chunk(np.zeros(40, np.int64), 0)
+    bulk, one_by_one = IoStats(), IoStats()
+    bulk.record_chunk(zero["op"], zero["length"], zero["origin"])
+    for req in requests_from_chunk(zero):
+        one_by_one.record(req)
+    assert bulk == one_by_one
+    assert _latency_state(pending.latency) == _latency_state(totals[1])
+    for x, y in zip(direct, deferred):
+        assert x.stats == y.stats
+        assert _latency_state(x.latency) == _latency_state(y.latency)

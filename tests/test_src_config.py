@@ -66,6 +66,12 @@ def test_segment_unit_must_be_page_aligned():
         SrcConfig(segment_unit=255 * KIB, erase_group_size=2550 * KIB)
 
 
+def test_negative_t_wait_rejected():
+    with pytest.raises(ConfigError):
+        SrcConfig(t_wait=-1e-3)
+    assert SrcConfig(t_wait=0.0).t_wait == 0.0
+
+
 def test_gc_watermarks_ordered():
     with pytest.raises(ConfigError):
         SrcConfig(gc_free_low=5, gc_free_high=2)

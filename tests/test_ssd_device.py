@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import DeviceFailedError
+from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import KIB, MIB, mb_per_sec
 from repro.ssd.device import SSDDevice, precondition
 from repro.ssd.spec import SATA_MLC_128, SATA_TLC_128, NVME_MLC_400
@@ -117,6 +118,30 @@ def test_trim_clears_corruption():
     ssd.inject_corruption(0, 4096)
     ssd.trim(0, 4096, 1.0)
     assert not ssd.corrupted_in(0, 4096)
+
+
+@pytest.mark.parametrize("origin", [IoOrigin.FOREGROUND, IoOrigin.GC])
+def test_read_fast_matches_submit(origin):
+    """The lean read replays submit's stats, queueing and timing; host
+    reads take the read-priority pipeline, background reads the
+    program one."""
+    full, lean = SSDDevice(TINY_SSD), SSDDevice(TINY_SSD)
+    for ssd in (full, lean):
+        ssd.write(0, 256 * KIB, 0.0)
+    t_full = t_lean = 1e-3
+    for i in range(40):   # more than the queue depth, all at once
+        offset, length = (i % 7) * 4 * KIB, (1 + i % 5) * 4 * KIB
+        done = full.submit(Request(Op.READ, offset, length, origin=origin),
+                           t_full)
+        assert lean.submit_read_fast(offset, length, t_lean, origin) == done
+    assert lean.stats == full.stats
+    assert lean.qstats.as_dict() == full.qstats.as_dict()
+    assert lean.qstats.queued_ops > 0
+    assert lean.ftl.counters == full.ftl.counters
+    for a, b in ((lean.nand, full.nand), (lean.nand_reads, full.nand_reads)):
+        assert (a._free, a.busy_time) == (b._free, b.busy_time)
+    host_priority = lean.nand_reads.busy_time > 0
+    assert host_priority == (origin is IoOrigin.FOREGROUND)
 
 
 def test_bytes_programmed_tracks_wear():
